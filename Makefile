@@ -62,8 +62,9 @@ runtime-smoke:
 # fragments than a full rebuild.  The E31 gate asserts the array kernel
 # strictly beats the int kernel at 10k nodes (~3x expected) and that a
 # 100k-node, >=1M-event array run completes inside the timeout; a second
-# pytest leg re-runs the engine/timeline suites with REPRO_NO_NUMPY=1 so
-# the pure-Python array backend stays green on hosts without numpy.
+# pytest leg re-runs the engine/timeline suites and the tick-native trace
+# parity suite with REPRO_NO_NUMPY=1 so the pure-Python array backend
+# stays green on hosts without numpy.
 perf-smoke:
 	timeout 600 sh -c "\
 		PYTHONPATH=src pytest \
@@ -73,10 +74,11 @@ perf-smoke:
 			'benchmarks/bench_e31_arraykernel.py::test_e31_100k_nodes_million_events' \
 			tests/test_incremental.py tests/test_timeline.py -q && \
 		PYTHONPATH=src REPRO_NO_NUMPY=1 pytest \
-			tests/test_engine.py tests/test_timeline.py -q && \
+			tests/test_engine.py tests/test_timeline.py \
+			tests/test_trace_parity.py -q && \
 		PYTHONPATH=src python -m repro bench-incr --nodes 200 --mutations 5 && \
-		PYTHONPATH=src python -m repro bench-timeline --nodes 200 && \
-		PYTHONPATH=src python -m repro bench-timeline --nodes 200 --kernel array"
+		PYTHONPATH=src python -m repro bench-timeline --nodes 200 --kernel int && \
+		PYTHONPATH=src python -m repro bench-timeline --nodes 200"
 
 # the self-healing gate: 100 seeded random fault sequences (crashes,
 # rejoins, root failover, hostile links, background loss) must EVERY one

@@ -965,8 +965,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench-timeline",
-        help="int vs Fraction simulation kernels + fragment-cached "
-             "schedule rebuilds (experiment E27)",
+        help="fast (array or int) vs Fraction simulation kernels + "
+             "fragment-cached schedule rebuilds (experiment E27)",
     )
     p.add_argument("--nodes", type=int, default=1000,
                    help="tree size (default 1000, the E27 family)")
@@ -977,9 +977,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="best-of-N timing repeats (default 3)")
     p.add_argument("--mutations", type=int, default=5,
                    help="single-leaf prunes for the rebuild churn (default 5)")
-    p.add_argument("--kernel", choices=("int", "array"), default="int",
+    p.add_argument("--kernel", choices=("int", "array"), default="array",
                    help="exact fast kernel to pit against the Fraction "
-                        "baseline (default int)")
+                        "baseline (default array)")
     p.add_argument("--json", action="store_true",
                    help="machine-readable output")
     _add_profile_options(p)

@@ -183,7 +183,7 @@ def resilient_run(
     runtime: Optional[str] = None,
     solver=None,
     quarantine_after: int = 3,
-    kernel: str = "int",
+    kernel: str = "array",
 ) -> RecoveryReport:
     """Run *tree* under *plan* with automatic detection and re-negotiation.
 
@@ -205,8 +205,8 @@ def resilient_run(
     * *quarantine_after* — consecutive corrupt frames on a link before its
       child is declared hostile and pruned;
     * *kernel* selects the supervised simulation's time kernel
-      (``"int"`` default, ``"fraction"``, or ``"array"`` for the
-      struct-of-arrays kernel — all three are bit-identical, see
+      (``"array"`` default, the struct-of-arrays kernel; ``"int"`` or
+      ``"fraction"`` — all three are bit-identical, see
       :mod:`repro.sim.arraystate`).
 
     The plan must contain something to recover from: a crash, a root

@@ -6,18 +6,22 @@ convert between :class:`~repro.platform.tree.Tree` and networkx graphs, and
 extract candidate overlay trees (shortest-path trees, minimum spanning
 trees) from a general weighted graph — the building blocks of the
 ``topology_study`` example.
+
+networkx is imported inside the functions that call it, so importing
+:mod:`repro.platform` does not load it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, Optional
 
 from ..core.rates import INFINITY, as_fraction, is_infinite
 from ..exceptions import PlatformError
 from .tree import NodeId, Tree
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def tree_to_networkx(tree: Tree) -> nx.DiGraph:
@@ -26,6 +30,8 @@ def tree_to_networkx(tree: Tree) -> nx.DiGraph:
     Node attribute ``w`` and edge attribute ``c`` carry the exact
     :class:`~fractions.Fraction` weights (or ``float('inf')`` for switches).
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     for node in tree.nodes():
         graph.add_node(node, w=tree.w(node))
@@ -92,6 +98,8 @@ def overlay_shortest_path_tree(
     """
     if root not in graph:
         raise PlatformError(f"root {root!r} not in graph")
+    import networkx as nx
+
     paths = nx.shortest_path(graph, source=root, weight=edge_cost_attr)
     tree = Tree(root, node_weights.get(root, INFINITY))
     # attach nodes in order of increasing path length so parents exist first
@@ -114,6 +122,8 @@ def overlay_minimum_spanning_tree(
     """Extract the minimum-spanning-tree overlay of *graph* rooted at *root*."""
     if root not in graph:
         raise PlatformError(f"root {root!r} not in graph")
+    import networkx as nx
+
     mst = nx.minimum_spanning_tree(graph, weight=edge_cost_attr)
     tree = Tree(root, node_weights.get(root, INFINITY))
     for parent, child in nx.bfs_edges(mst, source=root):

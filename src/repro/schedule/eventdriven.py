@@ -20,13 +20,14 @@ description of the steady-state schedule (Figure 4(d)).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.allocation import Allocation
 from ..exceptions import ScheduleError
 from .local import interleaved_order
-from .periods import NodePeriods, tree_periods
+from .periods import MAX_BUNCH, NodePeriods, tree_periods
 
 
 @dataclass(frozen=True)
@@ -92,15 +93,20 @@ def node_schedule(tree, node: Hashable, p: NodePeriods,
     if node in quantities and priority[0] != node:
         priority.remove(node)
         priority.insert(0, node)
+    bunch = sum(quantities.values())
+    if bunch > MAX_BUNCH:
+        raise ScheduleError(
+            f"node {node!r} has a bunch of Ψ = {bunch} tasks, over the "
+            f"{MAX_BUNCH} cap: its rates are pathological and the bunch "
+            "order cannot be materialised"
+        )
     order = policy(quantities, priority)
-    if len(order) != sum(quantities.values()):
+    if len(order) != bunch:
         raise ScheduleError(
             f"policy returned {len(order)} tasks for a bunch of "
-            f"{sum(quantities.values())} at node {node!r}"
+            f"{bunch} at node {node!r}"
         )
-    counts: Dict[Hashable, int] = {}
-    for dest in order:
-        counts[dest] = counts.get(dest, 0) + 1
+    counts = Counter(order)
     if counts != dict(quantities):
         raise ScheduleError(
             f"policy's order does not respect the ψ quantities at {node!r}: "

@@ -19,8 +19,8 @@ Alternative policies (:func:`block_order`, :func:`round_robin_order`,
 
 from __future__ import annotations
 
+import math
 import random
-from fractions import Fraction
 from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
 from ..exceptions import ScheduleError
@@ -53,19 +53,30 @@ def interleaved_order(
     ``k/(ψ_d+1)``, ``k = 1..ψ_d``.  Marks are sorted by position; equal
     positions are won by the destination with the smaller ``ψ``, then by the
     smaller index in *priority* (the node itself conventionally first).
+
+    The marks are kept in exact integers: with ``L = lcm(ψ_d+1)`` the
+    position ``k/(ψ_d+1)`` is ``k·(L/(ψ_d+1))/L``, so sorting the integer
+    numerators gives the same order as sorting the rationals.  Each key
+    also carries the destination's tie-break rank in its low bits, which
+    makes a single int comparison settle position and tie at once.
     """
     order = _validated(quantities, priority)
-    index = {dest: i for i, dest in enumerate(order)}
-    marks: List[Tuple[Fraction, int, int, Hashable]] = []
-    for dest in order:
+    # the stable sort keeps priority order among destinations of equal ψ,
+    # so a destination's place in `ranked` is its tie-break rank
+    ranked = sorted((d for d in order if quantities[d]),
+                    key=quantities.__getitem__)
+    if not ranked:
+        return ()
+    period = math.lcm(*(quantities[d] + 1 for d in ranked))
+    shift = (len(ranked) - 1).bit_length()
+    keys: List[int] = []
+    for rank, dest in enumerate(ranked):
         count = quantities[dest]
-        if count == 0:
-            continue
-        delta = Fraction(1, count + 1)
-        for k in range(1, count + 1):
-            marks.append((k * delta, count, index[dest], dest))
-    marks.sort(key=lambda m: (m[0], m[1], m[2]))
-    return tuple(m[3] for m in marks)
+        stride = (period // (count + 1)) << shift
+        keys.extend(range(stride + rank, stride * count + rank + 1, stride))
+    keys.sort()
+    mask = (1 << shift) - 1
+    return tuple(map(ranked.__getitem__, map(mask.__and__, keys)))
 
 
 def block_order(

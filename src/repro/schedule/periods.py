@@ -183,6 +183,13 @@ def tree_periods(allocation: Allocation) -> Dict[Hashable, NodePeriods]:
 #: the event-driven schedule instead.
 MAX_PERIOD_BITS = 4096
 
+#: Cap on a node's bunch size ``Ψ = Σ ψ_i``.  A bunch order is materialised
+#: as one tuple of ``Ψ`` destinations, so adversarial rate denominators
+#: (``Ψ`` near 10**18 on a 3-node platform) would otherwise hang the build.
+#: 2**22 entries already exceed what the simulator's default event guard
+#: can run through in a single period.
+MAX_BUNCH = 1 << 22
+
 
 def global_period(
     periods: Mapping[Hashable, NodePeriods],

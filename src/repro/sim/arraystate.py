@@ -51,7 +51,7 @@ from typing import Callable, Dict, Hashable, List, Optional
 from ..core.rates import ZERO, is_infinite
 from ..core.timeline import dense_index
 from ..exceptions import SimulationError
-from .tracing import COMPUTE, CTRL, RECV, SEND
+from .tracing import _TRANSFER, COMPUTE, CTRL
 
 # simulator never imports this module at load time (the kernel="array"
 # dispatch imports it lazily), so this is cycle-free
@@ -536,10 +536,10 @@ class ArraySimulation(Simulation):
         st.buffered[ri] += 1
         root = st.names[ri]
         if self._record_events:
-            now = self._frac(self.engine._now)
-            self.trace.add_release(now, dest)
+            now = self.engine._now
+            self._rec_release(now, dest)
             if self._record_buffers:
-                self.trace.add_buffer_delta(now, root, +1)
+                self._rec_delta(now, root, +1)
         if self.telemetry is not None:
             self.telemetry.counter("sim.tasks_released", node=root).inc()
             self._tel_buffer(root, st.buffered[ri])
@@ -579,10 +579,10 @@ class ArraySimulation(Simulation):
         st.buffered[i] += 1
         if self._record_events:
             name = st.names[i]
-            now = self._frac(self.engine._now)
-            self.trace.add_arrival(now, name)
+            now = self.engine._now
+            self._rec_arrival(now, name)
             if self._record_buffers:
-                self.trace.add_buffer_delta(now, name, +1)
+                self._rec_delta(now, name, +1)
         if self.telemetry is not None:
             name = st.names[i]
             self.telemetry.counter("sim.tasks_received", node=name).inc()
@@ -658,6 +658,13 @@ class ArraySimulation(Simulation):
         rec_buffers = self._record_buffers
         rec_segments = self._record_segments
         count_completion = trace.count_completion
+        # the trace's flat tick columns (cleared in place when read, so
+        # these bound methods stay valid)
+        record_segment = trace._segment_ticks.extend
+        record_completion = trace._completion_ticks.extend
+        record_arrival = trace._arrival_ticks.extend
+        record_delta = trace._buffer_ticks.extend
+        record_release = trace._release_ticks.extend
         # lean == the transfer-start tail has no observers (no segments,
         # no telemetry): send_done may then start follow-up transfers in
         # place instead of re-entering try_send (the link factor, which
@@ -674,10 +681,10 @@ class ArraySimulation(Simulation):
             arrivals[ri] += 1
             buffered[ri] += 1
             if rec_events:
-                now = frac(engine._now)
-                trace.add_release(now, names[di])
+                now = engine._now
+                record_release((now, names[di]))
                 if rec_buffers:
-                    trace.add_buffer_delta(now, names[ri], +1)
+                    record_delta((now, names[ri], 1))
             if tel is not None:
                 root = names[ri]
                 tel.counter("sim.tasks_released", node=root).inc()
@@ -703,7 +710,7 @@ class ArraySimulation(Simulation):
             start = engine._now
             end = start + w_vals[i]
             if rec_segments:
-                trace.add_segment(names[i], COMPUTE, frac(start), frac(end))
+                record_segment((names[i], COMPUTE, start, end, None))
             elif end > seg[0]:
                 seg[0] = end
             if tel is not None:
@@ -725,10 +732,10 @@ class ArraySimulation(Simulation):
             computing[i] = 0
             buffered[i] -= 1
             if rec_events:
-                now = frac(engine._now)
-                trace.add_completion(now, names[i])
+                now = engine._now
+                record_completion((now, names[i]))
                 if rec_buffers:
-                    trace.add_buffer_delta(now, names[i], -1)
+                    record_delta((now, names[i], -1))
             else:
                 count_completion()
             if tel is not None:
@@ -763,8 +770,7 @@ class ArraySimulation(Simulation):
                     start = engine._now
                     end = start + duration
                     if rec_segments:
-                        trace.add_segment(name, CTRL, frac(start),
-                                          frac(end))
+                        record_segment((name, CTRL, start, end, None))
                     elif end > seg[0]:
                         seg[0] = end
                     if tel is not None:
@@ -805,10 +811,7 @@ class ArraySimulation(Simulation):
             start = engine._now
             end = start + cost
             if rec_segments:
-                name, child = names[i], names[ci]
-                start_f, end_f = frac(start), frac(end)
-                trace.add_segment(name, SEND, start_f, end_f, peer=child)
-                trace.add_segment(child, RECV, start_f, end_f, peer=name)
+                record_segment((names[i], _TRANSFER, start, end, names[ci]))
             elif end > seg[0]:
                 seg[0] = end
             if tel is not None:
@@ -845,7 +848,7 @@ class ArraySimulation(Simulation):
             buffered[i] -= 1
             receiving[ci] = 0
             if rec_buffers:
-                trace.add_buffer_delta(frac(engine._now), names[i], -1)
+                record_delta((engine._now, names[i], -1))
             if tel is not None:
                 tel.counter("sim.tasks_forwarded", node=names[i],
                             child=names[ci]).inc()
@@ -860,10 +863,10 @@ class ArraySimulation(Simulation):
                 arrivals[ci] = index + 1
                 buffered[ci] += 1
                 if rec_events:
-                    now = frac(engine._now)
-                    trace.add_arrival(now, names[ci])
+                    now = engine._now
+                    record_arrival((now, names[ci]))
                     if rec_buffers:
-                        trace.add_buffer_delta(now, names[ci], +1)
+                        record_delta((now, names[ci], 1))
                 if tel is not None:
                     tel.counter("sim.tasks_received",
                                 node=names[ci]).inc()

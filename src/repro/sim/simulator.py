@@ -35,26 +35,29 @@ computes nothing until it has buffered its steady-state task count χ_in).
 
 Three exact time kernels drive the event loop (the ``kernel`` parameter):
 
-* ``"int"`` (default) — the scaled-integer kernel of
-  :mod:`repro.core.timeline`: every duration is normalised once to ticks
-  over a global denominator ``D``, the event heap and all clock arithmetic
-  run on plain Python ints, and ``Fraction`` views are materialised only at
-  the API boundaries (the recorded trace, ``engine.now``, telemetry).  A
-  value with an incommensurate denominator appearing mid-run (an injected
-  control latency, a link-degradation factor) grows the scale in place;
-* ``"array"`` — the struct-of-arrays kernel of
-  :mod:`repro.sim.arraystate`: the same integer ticks, but per-node state
-  lives in flat parallel arrays indexed by dense node id and the event
-  loop runs over a bucketed (calendar) queue that drains all same-tick
-  events per heap pop.  Fastest at scale (10k–100k nodes); numpy-backed
-  when importable (``pip install repro[fast]``), pure-Python otherwise;
+* ``"array"`` (default) — the struct-of-arrays kernel of
+  :mod:`repro.sim.arraystate`: every duration is normalised once to ticks
+  over a global denominator ``D`` (:mod:`repro.core.timeline`), per-node
+  state lives in flat parallel arrays indexed by dense node id and the
+  event loop runs over a bucketed (calendar) queue that drains all
+  same-tick events per heap pop.  Numpy-backed when importable
+  (``pip install repro[fast]``), pure-Python otherwise;
+* ``"int"`` — the same integer ticks over per-node objects and a plain
+  event heap (the array kernel's predecessor);
 * ``"fraction"`` — the original ``Fraction``-per-event loop.
 
+On both tick kernels all clock arithmetic runs on plain Python ints and
+the trace records raw ticks; ``Fraction`` views are built only at the API
+boundaries (a trace field when first read, ``engine.now``, telemetry).  A
+value with an incommensurate denominator appearing mid-run (an injected
+control latency, a link-degradation factor) grows the scale in place.
+
 All kernels produce **bit-identical** results — same trace, same event
-order, same rationals — as the property suite in ``tests/test_timeline.py``
-asserts; the int kernel is simply several times faster and the array
-kernel faster still (see ``benchmarks/bench_e27_timeline.py``,
-``benchmarks/bench_e31_arraykernel.py`` and ``docs/perf.md``).
+order, same rationals — as the property suites in ``tests/test_timeline.py``
+and ``tests/test_trace_parity.py`` assert; the int kernel is several times
+faster than the fraction kernel and the array kernel faster still (see
+``benchmarks/bench_e27_timeline.py``, ``benchmarks/bench_e31_arraykernel.py``
+and ``docs/perf.md``).
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ from ..schedule.local import interleaved_order
 from ..schedule.periods import NodePeriods, tree_periods
 from ..telemetry.core import Registry
 from .engine import ArrayEngine, Engine, IntEngine
-from .tracing import COMPUTE, CTRL, RECV, SEND, Trace
+from .tracing import COMPUTE, CTRL, Trace
 
 #: kernels accepted by :class:`Simulation`
 KERNELS = ("int", "fraction", "array")
@@ -191,20 +194,21 @@ class Simulation:
     """One configured simulation run over a tree + schedules.
 
     All internal clock arithmetic happens in *kernel units*: plain int
-    ticks for ``kernel="int"``, :class:`~fractions.Fraction` for
-    ``kernel="fraction"``.  ``self._units(fraction)`` converts a rational
-    into kernel units (growing the int timeline's scale when needed) and
-    ``self._frac(units)`` materialises the exact rational view — the trace,
-    ``failed_at``, telemetry values and every public attribute are always
-    Fractions, whichever kernel runs.
+    ticks for the ``"array"`` and ``"int"`` kernels,
+    :class:`~fractions.Fraction` for ``kernel="fraction"``.
+    ``self._units(fraction)`` converts a rational into kernel units
+    (growing the int timeline's scale when needed) and ``self._frac(units)``
+    materialises the exact rational view — the trace, ``failed_at``,
+    telemetry values and every public attribute are always Fractions,
+    whichever kernel runs.
 
-    ``kernel="array"`` transparently constructs the struct-of-arrays
-    subclass (:class:`~repro.sim.arraystate.ArraySimulation`): same
-    constructor, same public surface, hot state in flat arrays.
+    ``kernel="array"`` (the default) transparently constructs the
+    struct-of-arrays subclass (:class:`~repro.sim.arraystate.ArraySimulation`):
+    same constructor, same public surface, hot state in flat arrays.
     """
 
     def __new__(cls, *args, **kwargs):
-        if cls is Simulation and kwargs.get("kernel") == "array":
+        if cls is Simulation and kwargs.get("kernel", "array") == "array":
             # lazy import: arraystate imports this module at load time
             from .arraystate import ArraySimulation
             return object.__new__(ArraySimulation)
@@ -225,7 +229,7 @@ class Simulation:
         record_events: bool = True,
         max_events: int = 5_000_000,
         telemetry: Optional[Registry] = None,
-        kernel: str = "int",
+        kernel: str = "array",
     ):
         if horizon is None and supply is None:
             raise SimulationError("give a horizon, a supply, or both")
@@ -265,6 +269,7 @@ class Simulation:
         self._released = 0
         self._stop_time: Optional[Fraction] = None
         self._generation = 0  # bumped by reconfigure() to retire old chains
+        self._started = False  # the root's release chain is running
         self._control_jobs: Dict[Hashable, Deque] = {}
         self.tasks_lost = 0
         self.failed_at: Dict[Hashable, Fraction] = {}
@@ -279,11 +284,17 @@ class Simulation:
 
         self._cost_units: Dict = {}
         self._horizon_units = None
+        trace = self.trace
         if kernel != "fraction":
             # "int" and "array" share the scaled-integer time plumbing;
             # they differ in the engine's queue layout and (for "array")
             # the per-node state representation
             self._timeline = timeline_for(tree, schedules, horizon=self.horizon)
+            # the trace records raw ticks; Fractions are built when read
+            trace.use_ticks(self._timeline.scale)
+            recorders = (trace.tick_segment, trace.tick_transfer,
+                         trace.tick_completion, trace.tick_arrival,
+                         trace.tick_buffer_delta, trace.tick_release)
             if kernel == "array":
                 self.engine: Engine = ArrayEngine(self._timeline)
             else:
@@ -301,10 +312,16 @@ class Simulation:
             self.engine = Engine()
             self._units = Fraction
             self._frac = _identity
+            recorders = (trace.add_segment, trace.add_transfer,
+                         trace.add_completion, trace.add_arrival,
+                         trace.add_buffer_delta, trace.add_release)
             self._cost_units = {
                 (tree.parent(n), n): tree.c(n)
                 for n in tree.nodes() if tree.parent(n) is not None
             }
+        # trace recorders taking kernel units (ticks or Fractions)
+        (self._rec_segment, self._rec_transfer, self._rec_completion,
+         self._rec_arrival, self._rec_delta, self._rec_release) = recorders
         self._horizon_units = (
             None if self.horizon is None else self._units(self.horizon))
 
@@ -362,6 +379,7 @@ class Simulation:
             self._grid_cache = (schedule, t_w * factor,
                                 [o * factor for o in offsets])
         self._seg_end_max *= factor
+        self.trace.rescale(factor)
         for node, jobs in self._control_jobs.items():
             self._control_jobs[node] = deque(
                 (duration * factor, cb) for duration, cb in jobs)
@@ -499,10 +517,10 @@ class Simulation:
         state.arrivals += 1
         state.buffered += 1
         if self._record_events:
-            now = self._frac(self.engine._now)
-            self.trace.add_release(now, dest)
+            now = self.engine._now
+            self._rec_release(now, dest)
             if self._record_buffers:
-                self.trace.add_buffer_delta(now, root, +1)
+                self._rec_delta(now, root, +1)
         if self.telemetry is not None:
             self.telemetry.counter("sim.tasks_released", node=root).inc()
             self._tel_buffer(root, state.buffered)
@@ -536,10 +554,10 @@ class Simulation:
         state.arrivals += 1
         state.buffered += 1
         if self._record_events:
-            now = self._frac(self.engine._now)
-            self.trace.add_arrival(now, node)
+            now = self.engine._now
+            self._rec_arrival(now, node)
             if self._record_buffers:
-                self.trace.add_buffer_delta(now, node, +1)
+                self._rec_delta(now, node, +1)
         if self.telemetry is not None:
             self.telemetry.counter("sim.tasks_received", node=node).inc()
             self._tel_buffer(node, state.buffered)
@@ -563,8 +581,7 @@ class Simulation:
         start = self.engine._now
         end = start + state.w_units
         if self._record_segments:
-            self.trace.add_segment(node, COMPUTE, self._frac(start),
-                                   self._frac(end))
+            self._rec_segment(node, COMPUTE, start, end)
         elif end > self._seg_end_max:
             self._seg_end_max = end
         if self.telemetry is not None:
@@ -579,10 +596,10 @@ class Simulation:
         state.computing = False
         state.buffered -= 1
         if self._record_events:
-            now = self._frac(self.engine._now)
-            self.trace.add_completion(now, node)
+            now = self.engine._now
+            self._rec_completion(now, node)
             if self._record_buffers:
-                self.trace.add_buffer_delta(now, node, -1)
+                self._rec_delta(now, node, -1)
         else:
             self.trace.count_completion()
         if self.telemetry is not None:
@@ -620,8 +637,7 @@ class Simulation:
             start = self.engine._now
             end = start + duration
             if self._record_segments:
-                self.trace.add_segment(node, CTRL, self._frac(start),
-                                       self._frac(end))
+                self._rec_segment(node, CTRL, start, end)
             elif end > self._seg_end_max:
                 self._seg_end_max = end
             if self.telemetry is not None:
@@ -661,9 +677,7 @@ class Simulation:
         start = self.engine._now
         end = start + cost
         if self._record_segments:
-            start_f, end_f = self._frac(start), self._frac(end)
-            self.trace.add_segment(node, SEND, start_f, end_f, peer=child)
-            self.trace.add_segment(child, RECV, start_f, end_f, peer=node)
+            self._rec_transfer(node, child, start, end)
         elif end > self._seg_end_max:
             self._seg_end_max = end
         if self.telemetry is not None:
@@ -685,7 +699,7 @@ class Simulation:
         state.buffered -= 1
         self.nodes[child].receiving = False
         if self._record_buffers:
-            self.trace.add_buffer_delta(self._frac(self.engine._now), node, -1)
+            self._rec_delta(self.engine._now, node, -1)
         if self.telemetry is not None:
             self.telemetry.counter("sim.tasks_forwarded", node=node,
                                    child=child).inc()
@@ -732,7 +746,7 @@ class Simulation:
                                        buffered=state.buffered)
         if state.buffered > 0:
             self.tasks_lost += state.buffered
-            self.trace.add_buffer_delta(now, node, -state.buffered)
+            self._rec_delta(self.engine._now, node, -state.buffered)
             if self.telemetry is not None:
                 self.telemetry.counter("sim.tasks_lost",
                                        node=node).inc(state.buffered)
@@ -898,11 +912,26 @@ class Simulation:
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
+    def _start(self) -> None:
+        """Start the root's release chain (once per run)."""
+        if not self._started:
+            self._started = True
+            self._schedule_period(0)
+
+    def run_until(self, time) -> None:
+        """Run every event up to virtual *time*, then pause.
+
+        The trace can be read at the pause; :meth:`run` continues the same
+        run to completion.
+        """
+        self._start()
+        self.engine.run_until(time)
+
     def run(self) -> SimulationResult:
         """Run to completion: release until horizon/supply, then drain."""
         if self.telemetry is not None and self.horizon is not None:
             self.telemetry.gauge("sim.horizon").set(self.horizon)
-        self._schedule_period(0)
+        self._start()
         self.engine.run_all(max_events=self.max_events)
         if self.telemetry is not None:
             self.telemetry.gauge("sim.events_processed").set(
@@ -944,7 +973,7 @@ def simulate(
     record_events: bool = True,
     max_events: int = 5_000_000,
     telemetry: Optional[Registry] = None,
-    kernel: str = "int",
+    kernel: str = "array",
 ) -> SimulationResult:
     """One-call simulation of *tree* running its optimal event-driven schedule.
 
@@ -972,11 +1001,11 @@ def simulate(
     histograms, live as the simulation unfolds.  ``None`` (the default)
     runs the exact uninstrumented code path.
 
-    *kernel* selects the exact time kernel: ``"int"`` (default) runs the
-    event loop on scaled-integer ticks (same results, several times
-    faster), ``"array"`` on struct-of-arrays state over a bucketed tick
-    queue (fastest at 10k+ nodes), ``"fraction"`` on per-event rationals —
-    see the module docstring, :mod:`repro.core.timeline` and
+    *kernel* selects the exact time kernel: ``"array"`` (default) runs the
+    event loop on scaled-integer ticks over struct-of-arrays state and a
+    bucketed tick queue (same results, the fastest), ``"int"`` on the same
+    ticks over per-node objects and a heap, ``"fraction"`` on per-event
+    rationals — see the module docstring, :mod:`repro.core.timeline` and
     :mod:`repro.sim.arraystate`.  ``record_events=False`` (requires the
     other two ``record_*`` flags off) keeps only the completion counter
     and end time — the counts-only mode for multi-million-event runs.

@@ -1,14 +1,20 @@
 """Unit tests for the event-driven schedule construction (Section 6.2)."""
 
+import time
+from fractions import Fraction
+
 import pytest
 
 from repro.core.allocation import from_bw_first
 from repro.core.bwfirst import bw_first
+from repro.core.incremental import IncrementalSolver
+from repro.core.rates import INFINITY
 from repro.exceptions import ScheduleError
 from repro.platform.tree import Tree
 from repro.schedule.eventdriven import NodeSchedule, build_schedules, describe_schedules
 from repro.schedule.local import block_order
-from repro.schedule.periods import tree_periods
+from repro.schedule.periods import MAX_BUNCH, tree_periods
+from repro.sim.simulator import simulate
 
 
 @pytest.fixture
@@ -97,3 +103,42 @@ class TestNodeSchedule:
                              periods=periods["P5"])
         with pytest.raises(ScheduleError):
             empty.destination(0)
+
+
+class TestBunchCap:
+    """A 3-node platform whose root bunch is Ψ ≈ 10**18 must be refused
+    quickly, not materialised."""
+
+    @staticmethod
+    def hostile_tree() -> Tree:
+        tree = Tree("A", INFINITY)
+        tree.add_node("B", Fraction(1, 999999937), parent="A",
+                      c=Fraction(1, 1000000007))
+        tree.add_node("C", Fraction(999999929, 3), parent="A",
+                      c=Fraction(7, 1000000009))
+        return tree
+
+    def assert_refused_fast(self, build) -> None:
+        start = time.perf_counter()
+        with pytest.raises(ScheduleError, match=r"node 'A'.*Ψ = \d{18}"):
+            build()
+        assert time.perf_counter() - start < 2
+
+    def test_psi_b_is_huge(self):
+        periods = tree_periods(from_bw_first(bw_first(self.hostile_tree())))
+        assert periods["A"].psi_children["B"] == 999999866000004473
+        assert sum(periods["A"].psi_children.values()) > MAX_BUNCH
+
+    def test_build_schedules(self):
+        allocation = from_bw_first(bw_first(self.hostile_tree()))
+        self.assert_refused_fast(lambda: build_schedules(allocation))
+
+    def test_incremental_builder(self):
+        solver = IncrementalSolver(self.hostile_tree())
+        allocation = from_bw_first(solver.solve())
+        self.assert_refused_fast(
+            lambda: solver.schedule_builder().build(allocation))
+
+    def test_simulate(self):
+        self.assert_refused_fast(
+            lambda: simulate(self.hostile_tree(), horizon=Fraction(1)))

@@ -1,5 +1,8 @@
 """Unit tests for the networkx interoperability layer."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import networkx as nx
@@ -99,3 +102,21 @@ class TestOverlays:
         mst = overlay_minimum_spanning_tree(physical, "m", WEIGHTS)
         assert bw_first(spt).throughput > 0
         assert bw_first(mst).throughput > 0
+
+
+def test_planning_imports_leave_networkx_unloaded():
+    """Only the overlay helpers need networkx; the modules a plan runs
+    through (parse, solve, schedule, simulate, negotiate) must not load it."""
+    code = (
+        "import sys\n"
+        "import repro.core.allocation, repro.core.bwfirst\n"
+        "import repro.platform.serialization, repro.protocol.runner\n"
+        "import repro.runtime.runtime, repro.schedule.eventdriven\n"
+        "import repro.schedule.periods, repro.sim.simulator\n"
+        "print('networkx' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

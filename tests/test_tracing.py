@@ -64,3 +64,51 @@ class TestCompletions:
 
     def test_end_time_empty(self):
         assert Trace().end_time == 0
+
+
+class TestTickNative:
+    """Raw kernel ticks in, the same Fraction records out."""
+
+    def test_records_built_when_read(self):
+        trace = Trace()
+        trace.use_ticks(4)
+        trace.tick_segment("a", COMPUTE, 0, 8)
+        trace.tick_transfer("a", "b", 4, 12)
+        trace.tick_completion(8, "a")
+        trace.tick_arrival(12, "b")
+        trace.tick_buffer_delta(8, "a", -1)
+        trace.tick_release(0, "a")
+        assert trace.completed == 1
+        assert trace.end_time == 3
+        assert trace.segments == [
+            Segment("a", COMPUTE, F(0), F(2)),
+            Segment("a", SEND, F(1), F(3), peer="b"),
+            Segment("b", RECV, F(1), F(3), peer="a"),
+        ]
+        assert trace.completions == [(F(2), "a")]
+        assert trace.arrivals == [(F(3), "b")]
+        assert trace.buffer_deltas == [(F(2), "a", -1)]
+        assert trace.releases == [(F(0), "a")]
+        assert trace.completed == 1
+
+    def test_read_midway_then_append(self):
+        trace = Trace()
+        trace.use_ticks(2)
+        trace.tick_completion(1, "a")
+        completions = trace.completions
+        assert completions == [(F(1, 2), "a")]
+        trace.tick_completion(3, "b")
+        trace.add_completion(F(2), "c")  # a Fraction record keeps its place
+        assert trace.completions is completions
+        assert completions == [(F(1, 2), "a"), (F(3, 2), "b"), (F(2), "c")]
+        assert trace.completed == 3
+
+    def test_rescale_keeps_recorded_ticks(self):
+        trace = Trace()
+        trace.use_ticks(2)
+        trace.tick_segment("a", COMPUTE, 1, 3)
+        trace.rescale(3)  # now 6 ticks per unit
+        trace.tick_segment("a", COMPUTE, 9, 10)
+        assert trace.end_time == F(5, 3)
+        assert [(s.start, s.end) for s in trace.segments] == [
+            (F(1, 2), F(3, 2)), (F(3, 2), F(5, 3))]
