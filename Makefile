@@ -107,18 +107,25 @@ taskplane-smoke:
 		PYTHONPATH=src python -m repro exec --transport inproc --tasks 60 && \
 		PYTHONPATH=src python -m repro chaos --data-plane --sequences 3"
 
-# the multi-tenant federation gate: the federation suite (shared-subtree
-# bit-exactness through the cross-tenant memo, shard crash retry, ring /
-# wire / planner units) plus the E32 gate test (federated churn strictly
-# beats N isolated full solvers with cross-tenant hits), then a small
-# `repro federate bench` run through the CLI.  `timeout` hard-bounds the
-# wall clock so a wedged shard worker or memo socket fails fast.
+# the multi-tenant federation gate: the federation suite (per-tenant
+# bit-exactness, shard crash retry, only shard processes spawned, per-shard
+# evals repeating across identical runs, ring / wire units) plus the E32
+# gate test (bit-exact, federated evals equal across two runs, federated
+# churn strictly beats N isolated full solvers), then a small
+# `repro federate bench` run through the CLI.  Then the repo benchmark's
+# own suite on its tiny size (it reads the solver's cache_info() and the
+# service's stats() keys, so it catches a renamed one) and a traced
+# federation workload run twice, which must repeat every count.
+# `timeout` hard-bounds the wall clock so a wedged shard worker fails fast.
 federation-smoke:
 	timeout 540 sh -c "\
 		PYTHONPATH=src pytest tests/test_federation.py \
 			benchmarks/bench_e32_federation.py -q && \
 		PYTHONPATH=src python -m repro federate bench --tenants 4 \
-			--nodes 80 --mutations 6 --batch 3 --json > /dev/null"
+			--nodes 80 --mutations 6 --batch 3 --json > /dev/null && \
+		python3 -m pytest perfbench/test_perfbench.py -q && \
+		python3 perfbench/check_counts.py --workload federation --seed 1 \
+			--seconds 3 --size tiny"
 
 # re-record the committed perf baselines (BENCH_*.json at the repo root)
 bench-record:

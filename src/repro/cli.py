@@ -37,10 +37,10 @@ Sub-commands:
   schedule fragments the incremental builder splices from cache on
   single-leaf prune churn (experiment E27);
 * ``federate serve|bench`` — the multi-tenant federation: tenant trees
-  sharded over worker processes, re-solve batching and the shared
-  cross-tenant memo service; ``bench`` runs the E32 federated-vs-isolated
-  churn comparison, ``serve`` keeps a federation under synthetic churn
-  (optionally with the live dashboard's federation panel);
+  sharded over shared-nothing worker processes with re-solve batching;
+  ``bench`` runs the E32 federated-vs-isolated churn comparison,
+  ``serve`` keeps a federation under synthetic churn (optionally with
+  the live dashboard's federation panel);
 * ``example`` — the whole pipeline on the built-in reconstruction of the
   paper's Section 8 tree.
 
@@ -554,7 +554,6 @@ def _cmd_federate(args: argparse.Namespace) -> int:
             tenants=args.tenants, shards=args.shards, nodes=args.nodes,
             templates=args.templates, mutations=args.mutations,
             batch=args.batch, seed=args.seed,
-            memo=None if args.no_memo else "service",
         )
         if args.json:
             print(_json.dumps(record, indent=2))
@@ -575,11 +574,12 @@ def _cmd_federate(args: argparse.Namespace) -> int:
         incr = record["isolated_incremental"]
         print(f"  isolated incremental:   {incr['wall_s'] * 1000:.0f} ms "
               f"({incr['mutations_per_s']:.0f} mutations/s)")
-        memo = record["memo"]
-        if memo:
-            print(f"  memo: {memo['hits']}/{memo['fetches']} fetch hits, "
-                  f"{memo['cross_tenant_hits']} cross-tenant, "
-                  f"{memo['entries']} entries")
+        batched = record["isolated_batched"]
+        print(f"  isolated batched:       {batched['wall_s'] * 1000:.0f} ms "
+              f"({batched['mutations_per_s']:.0f} mutations/s)")
+        print(f"  node evals: {fed['node_evals']} federated "
+              f"({fed['onboard_evals']} onboarding), "
+              f"{batched['node_evals']} isolated batched churn")
         print(f"  exact vs per-tenant bw_first: {record['exact']}")
         return 0 if record["exact"] else 1
 
@@ -600,8 +600,7 @@ def _cmd_federate(args: argparse.Namespace) -> int:
         registry = dash.registry
     else:
         registry = Registry()
-    service = FederationService(shards=args.shards, memo="service",
-                                telemetry=registry,
+    service = FederationService(shards=args.shards, telemetry=registry,
                                 batch_window=args.batch_window)
     trees = {}
     for i in range(args.tenants):
@@ -629,13 +628,10 @@ def _cmd_federate(args: argparse.Namespace) -> int:
                 last_report = now
                 stats = service.stats()
                 svc = stats["service"]
-                memo = stats["memo"] or {}
                 print(f"  resolves={svc['resolves']} "
                       f"mutations={svc['mutations']} "
                       f"flushes={svc['flushes']} "
-                      f"respawns={svc['respawns']} "
-                      f"memo_hits={memo.get('hits', 0)} "
-                      f"cross_tenant={memo.get('cross_tenant_hits', 0)}")
+                      f"respawns={svc['respawns']}")
     except KeyboardInterrupt:
         pass
     finally:
@@ -987,8 +983,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "federate",
-        help="multi-tenant federation: sharded scheduler service with a "
-             "shared cross-tenant solve cache (experiment E32)",
+        help="multi-tenant federation: sharded scheduler service that "
+             "batches each tenant's mutations into one re-solve "
+             "(experiment E32)",
     )
     p.add_argument("mode", choices=("serve", "bench"),
                    help="serve: long-lived service under continuous churn; "
@@ -1001,14 +998,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="nodes per tenant tree (default 240)")
     p.add_argument("--templates", type=int, default=4,
                    help="distinct tree templates across tenants (default 4; "
-                        "identical templates exercise cross-tenant sharing)")
+                        "identical templates take the template-clone path)")
     p.add_argument("--mutations", type=int, default=20,
                    help="bench: churn mutations per tenant (default 20)")
     p.add_argument("--batch", type=int, default=4,
                    help="bench: mutations coalesced per flush (default 4)")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--no-memo", action="store_true",
-                   help="bench: disable the shared memo service")
     p.add_argument("--json", action="store_true",
                    help="bench: machine-readable record")
     p.add_argument("--batch-window", type=float, default=0.05,

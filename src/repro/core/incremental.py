@@ -50,14 +50,13 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from hashlib import blake2b
 from itertools import islice
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 from ..exceptions import PlatformError, ScheduleError
 from ..platform.tree import Tree
 from .bwfirst import BWFirstResult, NodeOutcome, Transaction, bw_first, root_proposal
-from .rates import ONE, ZERO, format_fraction
+from .rates import ONE, ZERO
 
 #: exact-β memo entries kept per fingerprint before the map is reset — a
 #: memory bound for adversarial churn; saturation/absorption hits (the
@@ -68,23 +67,6 @@ MAX_EXACT_PER_ENTRY = 64
 
 #: Environment override for the default per-fingerprint exact-β memo cap.
 MEMO_CAP_ENV = "REPRO_MEMO_CAP"
-
-#: Subtrees smaller than this many nodes skip the shared memo store: a
-#: cross-process round trip costs several node evaluations, so sharing
-#: only pays above the break-even size (tunable per solver with
-#: ``shared_min_size=``; in-process stores in tests use 1).
-SHARED_MIN_SIZE = 16
-
-#: Subtrees larger than this many nodes also skip the shared store: a
-#: published payload is the *whole* recursive solution, so shipping, say,
-#: a churned root entry would serialise the full tree on every solve.
-#: Because the policy is uniform, a client knows oversized digests are
-#: never stored and skips the fetch too.  Large shared structures still
-#: replay almost for free: their in-window descendants are published, so
-#: a second tenant descends the few oversized levels and answers the rest
-#: from the store — content addressing composes.  ``shared_max_size=None``
-#: lifts the cap (useful when onboarding dominates and churn is rare).
-SHARED_MAX_SIZE = 128
 
 
 def _default_memo_cap() -> int:
@@ -99,50 +81,6 @@ def _default_memo_cap() -> int:
     if cap < 1:
         raise ScheduleError(f"{MEMO_CAP_ENV}={raw!r} must be >= 1")
     return cap
-
-
-def sol_to_wire(sol: "_Sol") -> list:
-    """Serialise a cached solution to a JSON-ready nested list.
-
-    All rationals travel as exact ``"n"``/``"n/d"`` strings, so shared-memo
-    round-trips lose no precision (the same wire discipline as the runtime
-    codec).  Recursion depth equals the subtree height.
-    """
-    return [
-        str(sol.lam), str(sol.alpha), str(sol.theta), str(sol.tau),
-        [[str(beta), str(theta), sol_to_wire(child)]
-         for beta, theta, child in sol.txns],
-        sol.evals,
-    ]
-
-
-def _wire_fraction(text) -> Fraction:
-    if not isinstance(text, str):
-        raise ScheduleError(f"malformed shared-memo rational {text!r}")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ScheduleError(
-            f"malformed shared-memo rational {text!r}") from exc
-
-
-def sol_from_wire(payload) -> "_Sol":
-    """Inverse of :func:`sol_to_wire`, hardened against malformed payloads
-    (every malformation raises :class:`~repro.exceptions.ScheduleError`)."""
-    if not isinstance(payload, (list, tuple)) or len(payload) != 6:
-        raise ScheduleError(f"malformed shared-memo solution {payload!r}")
-    lam, alpha, theta, tau, txns, evals = payload
-    if not isinstance(txns, (list, tuple)) or not isinstance(evals, int):
-        raise ScheduleError(f"malformed shared-memo solution {payload!r}")
-    parsed = []
-    for txn in txns:
-        if not isinstance(txn, (list, tuple)) or len(txn) != 3:
-            raise ScheduleError(f"malformed shared-memo transaction {txn!r}")
-        parsed.append((_wire_fraction(txn[0]), _wire_fraction(txn[1]),
-                       sol_from_wire(txn[2])))
-    return _Sol(_wire_fraction(lam), _wire_fraction(alpha),
-                _wire_fraction(theta), _wire_fraction(tau),
-                tuple(parsed), evals)
 
 
 class _Sol:
@@ -184,30 +122,6 @@ class _Entry:
         dup.exact = dict(islice(self.exact.items(), cap))
         return dup
 
-    def merge_wire(self, payload: dict, cap: int) -> None:
-        """Merge a shared-memo wire payload (``{"sat","thr","exact"}``) in.
-
-        A remote saturated solution only replaces a local one when its
-        threshold is lower (both are correct; the lower one answers more
-        proposals).  Exact memos merge up to *cap* without displacing
-        existing entries."""
-        sat_wire = payload.get("sat")
-        thr_wire = payload.get("thr")
-        if sat_wire is not None and thr_wire is not None:
-            threshold = _wire_fraction(thr_wire)
-            if self.sat is None or threshold < self.sat_threshold:
-                self.sat = sol_from_wire(sat_wire)
-                self.sat_threshold = threshold
-        exact = payload.get("exact") or {}
-        if not isinstance(exact, dict):
-            raise ScheduleError(f"malformed shared-memo exact map {exact!r}")
-        for beta_text, sol_wire in exact.items():
-            if len(self.exact) >= cap:
-                break
-            beta = _wire_fraction(beta_text)
-            if beta not in self.exact:
-                self.exact[beta] = sol_from_wire(sol_wire)
-
 
 class _IFrame:
     """One activation of Algorithm 1 inside the incremental solve."""
@@ -246,27 +160,14 @@ class IncrementalSolver:
     ``REPRO_MEMO_CAP`` environment variable, then
     :data:`MAX_EXACT_PER_ENTRY`).
 
-    *shared* plugs in a cross-process memo backend — any object with
-    ``fetch(digest, tenant=...) -> Optional[dict]`` and
-    ``publish(digest, update, tenant=...)`` (the federation memo service's
-    :class:`~repro.federation.memo.SharedMemoClient` or
-    :class:`~repro.federation.memo.InlineMemoStore`).  On a local cache
-    miss the solver fetches the node's content digest from the store; every
-    locally computed solution is published back once.  *tenant* labels this
-    solver's traffic for the store's cross-tenant accounting.
-
     *like* is the template fast path: when the supplied *tree* compares
-    equal to another solver's working tree, fingerprints, digests and memo
-    entries are inherited instead of recomputed from scratch — the
+    equal to another solver's working tree, fingerprints and memo entries are inherited instead of recomputed from scratch — the
     federation onboarding path for tenants cloned from a template (see
     :meth:`clone`).  A *like* solver with a different tree falls back to a
     full fingerprint pass.
     """
 
     def __init__(self, tree: Tree, telemetry=None, memo_cap: Optional[int] = None,
-                 shared=None, tenant: Optional[str] = None,
-                 shared_min_size: int = SHARED_MIN_SIZE,
-                 shared_max_size: Optional[int] = SHARED_MAX_SIZE,
                  like: Optional["IncrementalSolver"] = None):
         self._tree = tree.copy()
         self._telemetry = telemetry
@@ -275,50 +176,34 @@ class IncrementalSolver:
         elif memo_cap < 1:
             raise ScheduleError(f"memo_cap must be >= 1 (got {memo_cap})")
         self._memo_cap = memo_cap
-        self._shared = shared
-        self._tenant = tenant
-        self._shared_min_size = shared_min_size
-        self._shared_max_size = shared_max_size
         self._snapshot: Optional[Tree] = None  # result-tree copy, lazily built
         self._cache: Dict[int, _Entry] = {}
         self.last_evals = 0  # misses of the most recent solve()
         self.stats: Dict[str, int] = {
             "solves": 0, "evals": 0, "evals_saved": 0,
             "hits_absorbed": 0, "hits_saturated": 0, "hits_exact": 0,
-            "hits_shared": 0, "shared_fetches": 0, "shared_publishes": 0,
             "misses": 0, "invalidations": 0, "evictions": 0, "lookups": 0,
         }
         self._builder = None  # lazily-built IncrementalScheduleBuilder
         self._eviction_warned = False
-        # (fingerprint, β) pairs already asked of / pushed to the shared
-        # store, so each question and answer crosses the process boundary
-        # at most once per solver
-        self._shared_checked: set = set()
-        self._shared_published: set = set()
         if like is not None and like._tree == self._tree:
             self._intern = dict(like._intern)
             self._fp = dict(like._fp)
-            self._key_of = dict(like._key_of)
             self._kids_cache = dict(like._kids_cache)
             self._rate_cache = dict(like._rate_cache)
-            self._digest_of = dict(like._digest_of)
-            self._size_of = dict(like._size_of)
             self._cache = {fp: entry.copy(self._memo_cap)
                            for fp, entry in like._cache.items()}
         else:
             self._intern: Dict[tuple, int] = {}
             self._fp: Dict[Hashable, int] = {}
-            self._key_of: Dict[int, tuple] = {}  # reverse of _intern
             self._kids_cache: Dict[Hashable, Tuple[Hashable, ...]] = {}
             self._rate_cache: Dict[Hashable, Fraction] = {}
-            self._digest_of: Dict[int, str] = {}  # fp → content digest (lazy)
-            self._size_of: Dict[int, int] = {}  # fp → subtree node count (lazy)
             self._fingerprint_all()
 
-    def clone(self, telemetry=None, memo_cap: Optional[int] = None,
-              shared=None, tenant: Optional[str] = None) -> "IncrementalSolver":
+    def clone(self, telemetry=None,
+              memo_cap: Optional[int] = None) -> "IncrementalSolver":
         """A detached solver over an equal tree, reusing this solver's
-        fingerprints, digests and memo entries (solutions are immutable, so
+        fingerprints and memo entries (solutions are immutable, so
         sharing the objects is safe; the caches themselves are copied, so
         the clone's mutations never disturb this solver).
 
@@ -329,9 +214,7 @@ class IncrementalSolver:
         return IncrementalSolver(
             self._tree, telemetry=telemetry,
             memo_cap=self._memo_cap if memo_cap is None else memo_cap,
-            shared=self._shared if shared is None else shared,
-            tenant=tenant, shared_min_size=self._shared_min_size,
-            shared_max_size=self._shared_max_size, like=self,
+            like=self,
         )
 
     # ------------------------------------------------------------------
@@ -359,70 +242,8 @@ class IncrementalSolver:
         if fp is None:
             fp = len(self._intern)
             self._intern[key] = fp
-            self._key_of[fp] = key
         self._fp[node] = fp
         return fp
-
-    def digest(self, node: Hashable) -> str:
-        """The content digest of *node*'s subtree: a 128-bit blake2b over
-        the canonical ``(w, (c, child-digest)…)`` rendering, in bandwidth
-        order.
-
-        Unlike the interned fingerprint (an id local to this solver), the
-        digest is stable across processes and solver lifetimes — the key of
-        the federation memo service.  Computed lazily and memoized per
-        fingerprint; iterative, so arbitrarily deep chains are fine.
-        """
-        return self._fp_digest(self._fp[node])
-
-    def _fp_digest(self, fp: int) -> str:
-        memo = self._digest_of
-        got = memo.get(fp)
-        if got is not None:
-            return got
-        key_of = self._key_of
-        stack = [fp]
-        while stack:
-            cur = stack[-1]
-            if cur in memo:
-                stack.pop()
-                continue
-            w, kids = key_of[cur]
-            pending = [child_fp for _, child_fp in kids if child_fp not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            parts = [format_fraction(w)]
-            for c, child_fp in kids:
-                parts.append(format_fraction(c))
-                parts.append(memo[child_fp])
-            preimage = "|".join(parts).encode("ascii")
-            memo[cur] = blake2b(preimage, digest_size=16).hexdigest()
-            stack.pop()
-        return memo[fp]
-
-    def _fp_size(self, fp: int) -> int:
-        """Node count of the subtree behind *fp* (lazy, iterative): the
-        shared-store break-even check (see :data:`SHARED_MIN_SIZE`)."""
-        memo = self._size_of
-        got = memo.get(fp)
-        if got is not None:
-            return got
-        key_of = self._key_of
-        stack = [fp]
-        while stack:
-            cur = stack[-1]
-            if cur in memo:
-                stack.pop()
-                continue
-            _, kids = key_of[cur]
-            pending = [child_fp for _, child_fp in kids if child_fp not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            memo[cur] = 1 + sum(memo[child_fp] for _, child_fp in kids)
-            stack.pop()
-        return memo[fp]
 
     def _fingerprint_all(self) -> None:
         for node in reversed(list(self._tree.nodes())):  # children first
@@ -580,72 +401,9 @@ class IncrementalSolver:
                 self.stats["evals_saved"] += sol.evals
                 self._count("incr.hit.exact")
                 return sol, sol.theta
-        if self._shared is not None:
-            hit = self._shared_lookup(node, beta)
-            if hit is not None:
-                return hit
         self.stats["misses"] += 1
         self._count("incr.miss")
         return None
-
-    def _shared_lookup(self, node: Hashable, beta: Fraction):
-        """Consult the shared memo store after a local miss.
-
-        A fetched entry is merged into the local cache, so later proposals
-        against the same fingerprint hit locally without another round
-        trip; each distinct ``(fingerprint, β)`` is asked at most once.
-        """
-        fp = self._fp[node]
-        if not self._shared_eligible(fp):
-            return None
-        key = (fp, beta)
-        if key in self._shared_checked:
-            return None
-        self._shared_checked.add(key)
-        self.stats["shared_fetches"] += 1
-        self._count("incr.shared.fetch")
-        payload = self._shared.fetch(self._fp_digest(fp), tenant=self._tenant)
-        if not payload:
-            return None
-        entry = self._cache.get(fp)
-        if entry is None:
-            entry = self._cache[fp] = _Entry()
-        entry.merge_wire(payload, self._memo_cap)
-        sat = entry.sat
-        if sat is not None and beta >= entry.sat_threshold:
-            self.stats["hits_shared"] += 1
-            self.stats["evals_saved"] += sat.evals
-            self._count("incr.hit.shared")
-            return sat, beta - (sat.lam - sat.theta)
-        sol = entry.exact.get(beta)
-        if sol is not None:
-            self.stats["hits_shared"] += 1
-            self.stats["evals_saved"] += sol.evals
-            self._count("incr.hit.shared")
-            return sol, sol.theta
-        return None
-
-    def _shared_eligible(self, fp: int) -> bool:
-        """Is this subtree inside the shared-store size window?  Below the
-        minimum a round trip costs more than solving; above the maximum a
-        payload costs more than it saves (see :data:`SHARED_MIN_SIZE` /
-        :data:`SHARED_MAX_SIZE`).  The window gates fetch and publish
-        symmetrically, so out-of-window digests are provably absent and
-        cost no round trip at all."""
-        size = self._fp_size(fp)
-        if size < self._shared_min_size:
-            return False
-        return self._shared_max_size is None or size <= self._shared_max_size
-
-    def _publish(self, fp: int, dedup_key, update: dict) -> None:
-        if not self._shared_eligible(fp):
-            return
-        if dedup_key in self._shared_published:
-            return
-        self._shared_published.add(dedup_key)
-        self.stats["shared_publishes"] += 1
-        self._count("incr.shared.publish")
-        self._shared.publish(self._fp_digest(fp), update, tenant=self._tenant)
 
     def _store(self, frame: _IFrame, sol: _Sol) -> None:
         fp = self._fp[frame.node]
@@ -659,10 +417,6 @@ class IncrementalSolver:
             # internals are constant and θ(λ) = λ − C
             entry.sat = sol
             entry.sat_threshold = self._rate(frame.node) + frame.max_need
-            if self._shared is not None:
-                self._publish(fp, (fp, "sat"), {
-                    "sat": sol_to_wire(sol), "thr": str(entry.sat_threshold),
-                })
         else:
             if len(entry.exact) >= self._memo_cap:
                 entry.exact.clear()
@@ -681,10 +435,6 @@ class IncrementalSolver:
                         "diversity is defeating the exact-hit cache"
                     )
             entry.exact[frame.lam] = sol
-            if self._shared is not None:
-                self._publish(fp, (fp, frame.lam), {
-                    "exact": {str(frame.lam): sol_to_wire(sol)},
-                })
 
     # ------------------------------------------------------------------
     # replay (cache hit → outcomes + renumbered transactions, no arithmetic)
@@ -858,23 +608,6 @@ class IncrementalSolver:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def memoised_betas(self, node: Hashable) -> Dict[str, object]:
-        """What the local cache can already answer for *node*'s subtree.
-
-        Returns ``{"saturated_above": Fraction | None, "exact": [β, …]}``:
-        any proposal ≥ ``saturated_above`` (plus any β in ``exact``, plus
-        any β ≤ the node's rate, which absorbs in closed form) replays
-        without arithmetic.  This is the cache-aware proposal planner's
-        oracle (see :func:`repro.protocol.planner.plan_proposal`).
-        """
-        entry = self._cache.get(self._fp[node])
-        if entry is None:
-            return {"saturated_above": None, "exact": []}
-        return {
-            "saturated_above": entry.sat_threshold if entry.sat is not None else None,
-            "exact": sorted(entry.exact),
-        }
-
     def cache_info(self) -> Dict[str, int]:
         """A snapshot of cache size and traffic (see also :attr:`stats`)."""
         info = dict(self.stats)
@@ -884,6 +617,9 @@ class IncrementalSolver:
         info["saturated_memos"] = sum(
             1 for e in self._cache.values() if e.sat is not None)
         info["memo_cap"] = self._memo_cap
+        # always 0 (no cross-process store exists); kept only because the
+        # perfbench churn workload reads this key
+        info["hits_shared"] = 0
         return info
 
     def clear_cache(self) -> None:

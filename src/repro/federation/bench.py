@@ -1,38 +1,42 @@
 """The E32 federation benchmark: re-negotiations/sec under churn.
 
-One scenario, three modes over identical tenant trees and identical
+One scenario, four modes over identical tenant trees and identical
 seeded mutation streams:
 
-* **federated** — the sharded service with batching and the shared memo
-  store: every churn round queues ``batch`` leaf mutations per tenant and
-  one explicit :meth:`~repro.federation.service.FederationService.flush`
-  re-solves everything (explicit rounds, not wall-clock windows, so the
-  request count is deterministic);
+* **federated** — the sharded service with batching: every churn round
+  queues ``batch`` leaf mutations per tenant and one explicit
+  :meth:`~repro.federation.service.FederationService.flush` re-solves
+  everything (explicit rounds, not wall-clock windows, so the request
+  count is deterministic);
 * **isolated-full** — the pre-federation baseline the gate must beat: one
   full :func:`~repro.core.bwfirst.bw_first` per tenant per *mutation*,
-  nothing shared, nothing batched;
+  nothing batched;
 * **isolated-incremental** — per-tenant
-  :class:`~repro.core.incremental.IncrementalSolver` with no cross-tenant
-  sharing, one solve per mutation: how much of the win is batching +
-  sharing rather than PR 4's incrementality alone (recorded for the
-  baseline file, not gated).
+  :class:`~repro.core.incremental.IncrementalSolver`, one solve per
+  mutation: how much of the win is batching rather than incrementality
+  alone (recorded, not gated);
+* **isolated-batched** — the in-process bar: per-tenant incremental
+  solvers in one process fed the *same* ``batch``-mutation rounds, one
+  solve per tenant per round.  The federation's shard processes must
+  earn their IPC against this (recorded and printed, not gated on wall
+  time).
 
 Tenants come in **templated families** (``tenants`` ids over
 ``templates`` distinct trees), the multi-application shape the ROADMAP
-names: identical onboarding trees are exactly where the cross-tenant
-store pays, and the gate asserts ``cross_tenant_hits > 0``.  Mutations
-draw new leaf weights from the smooth-tree pool, so trees stay in the
-cheap-timeline regime throughout.
+names; identical onboarding trees take the shard's template-clone path.
+Mutations draw new leaf weights from the smooth-tree pool, so trees stay
+in the cheap-timeline regime throughout.
 
 Exactness is verified *outside* the timed loops: after the churn, every
 tenant's served solution must equal ``bw_first`` on an independently
 replayed tree bit for bit.
 
-Determinism for ``make bench-check``: the federated record's
-``node_evals`` is the number of re-solve requests served (a pure function
-of the parameters), not solver evals — concurrent shards race on the
-shared store, so eval counts may differ run to run; the isolated modes
-count real node evaluations, which are sequential and exact.
+Determinism for ``make bench-check``: shards share nothing, so every
+count is a pure function of the parameters.  The federated record's
+``node_evals`` is the sum of the shard solvers' evals (onboarding plus
+churn); it equals ``onboard_evals`` plus the isolated-batched churn
+evals, because each shard solver sees exactly the in-process loop's
+requests.  The isolated modes count churn evals only.
 """
 
 from __future__ import annotations
@@ -71,8 +75,7 @@ def _mutation_streams(trees: Dict[str, object], mutations: int,
 
 def run_federation_bench(tenants: int = 8, shards: int = 2, nodes: int = 240,
                          templates: int = 4, mutations: int = 20,
-                         batch: int = 4, seed: int = 1,
-                         memo: str = "service", verify: bool = True,
+                         batch: int = 4, seed: int = 1, verify: bool = True,
                          isolated: bool = True,
                          telemetry=None) -> dict:
     """Run the scenario; returns the full comparison record (see module
@@ -90,7 +93,7 @@ def run_federation_bench(tenants: int = 8, shards: int = 2, nodes: int = 240,
     rounds = (mutations + batch - 1) // batch
 
     # ---------------- federated ----------------
-    service = FederationService(shards=shards, memo=memo, telemetry=telemetry)
+    service = FederationService(shards=shards, telemetry=telemetry)
     onboard_start = time.perf_counter()
     onboard_evals = 0
     for tenant in sorted(trees):
@@ -118,7 +121,6 @@ def run_federation_bench(tenants: int = 8, shards: int = 2, nodes: int = 240,
             if not matches_reference(service.result(tenant), bw_first(replay)):
                 exact = False
     final = service.stop()
-    memo_stats = final.get("memo") or {}
 
     federated = {
         "onboard_wall_s": onboard_wall,
@@ -127,6 +129,8 @@ def run_federation_bench(tenants: int = 8, shards: int = 2, nodes: int = 240,
         "resolves": resolves,
         "mutations": tenants * mutations,
         "mutations_per_s": tenants * mutations / churn_wall,
+        "node_evals": sum(s["solver"]["evals"]
+                          for s in final["shards"].values()),
         "template_clones": sum(
             s.get("template_clones", 0) for s in final["shards"].values()),
     }
@@ -135,12 +139,10 @@ def run_federation_bench(tenants: int = 8, shards: int = 2, nodes: int = 240,
         "params": {
             "tenants": tenants, "shards": shards, "nodes": nodes,
             "templates": templates, "mutations": mutations, "batch": batch,
-            "seed": seed, "memo": memo,
+            "seed": seed,
         },
         "exact": exact,
         "federated": federated,
-        "memo": memo_stats,
-        "cross_tenant_hits": memo_stats.get("cross_tenant_hits", 0),
     }
     if not isolated:
         return result
@@ -179,6 +181,30 @@ def run_federation_bench(tenants: int = 8, shards: int = 2, nodes: int = 240,
         "resolves": tenants * mutations,
         "node_evals": incr_evals,
         "mutations_per_s": tenants * mutations / incr_wall,
+    }
+
+    # ---------------- isolated-batched (the in-process bar) ----------------
+    solvers = {t: IncrementalSolver(trees[t]) for t in sorted(trees)}
+    for solver in solvers.values():
+        solver.solve()
+    start = time.perf_counter()
+    batched_evals = batched_resolves = 0
+    for r in range(rounds):
+        for tenant, solver in solvers.items():
+            ops = streams[tenant][r * batch:(r + 1) * batch]
+            if not ops:
+                continue
+            for op in ops:
+                solver.set_w(op[1], int(op[2]))
+            solver.solve()
+            batched_evals += solver.last_evals
+            batched_resolves += 1
+    batched_wall = time.perf_counter() - start
+    result["isolated_batched"] = {
+        "wall_s": batched_wall,
+        "resolves": batched_resolves,
+        "node_evals": batched_evals,
+        "mutations_per_s": tenants * mutations / batched_wall,
     }
     result["speedup_vs_full"] = full_wall / churn_wall if churn_wall else None
     return result

@@ -16,16 +16,12 @@
   (all shards in flight concurrently, replies collected after), so a
   flush costs one round trip per shard regardless of tenant count.
   :meth:`serve` runs flushes on a wall-clock window for the live service;
-  benches call :meth:`flush` explicitly for determinism;
-* the **memo service** — one shared cross-tenant solution store
-  (:class:`~repro.federation.memo.MemoService`, or its inline flavour for
-  single-process runs), handed to every shard.
+  benches call :meth:`flush` explicitly for determinism.
 
 Telemetry (optional): ``federation.resolves`` / ``federation.mutations``
 / ``federation.batches`` counters labelled per shard,
-``federation.respawns`` on crash recovery, and ``federation.tenants`` /
-``federation.memo.*`` gauges refreshed by :meth:`stats` — the dash's
-federation panel reads exactly these.
+``federation.respawns`` on crash recovery, and the ``federation.tenants``
+gauge — the dash's federation panel reads exactly these.
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ from ..exceptions import PlatformError, ProtocolError
 from ..platform.serialization import tree_from_dict, tree_to_dict
 from ..platform.tree import Tree
 from ..runtime.codec import parse_rational
-from .memo import InlineMemoStore, MemoService
 from .ring import HashRing
 from .shard import shard_main
 from .wire import recv_frame_timeout, send_frame
@@ -59,9 +54,8 @@ class _Tenant:
 class _Shard:
     """The service-side handle of one worker process."""
 
-    def __init__(self, shard_id: str, memo_address, memo_authkey):
+    def __init__(self, shard_id: str):
         self.shard_id = shard_id
-        self._memo = (memo_address, memo_authkey)
         self.process = None
         self.conn = None
         self.respawns = -1  # first spawn is not a respawn
@@ -72,7 +66,7 @@ class _Shard:
         parent, child = mp.Pipe()
         self.process = mp.Process(
             target=shard_main,
-            args=(child, self.shard_id, self._memo[0], self._memo[1]),
+            args=(child, self.shard_id),
             daemon=True, name=f"repro-shard-{self.shard_id}",
         )
         self.process.start()
@@ -110,37 +104,21 @@ class _Shard:
 
 
 class FederationService:
-    """Serve many tenant trees from sharded workers with a shared cache.
+    """Serve many tenant trees from *shards* worker processes, batching each
+    tenant's mutations into one incremental re-solve per flush.  Shards
+    share nothing: each tenant's solver cache is its own."""
 
-    *memo* selects the cross-tenant store: ``"service"`` (its own process,
-    the default), ``"inline"`` (in-service store — shards being separate
-    processes cannot reach it, so this only shares within the service
-    process itself; meant for tests) or ``None`` (no sharing).
-    """
-
-    def __init__(self, shards: int = 2, memo: Optional[str] = "service",
-                 telemetry=None, batch_window: float = 0.05,
-                 max_retries: int = 2):
+    def __init__(self, shards: int = 2, telemetry=None,
+                 batch_window: float = 0.05, max_retries: int = 2):
         if shards < 1:
             raise PlatformError("a federation needs at least one shard")
         self._telemetry = telemetry
         self._batch_window = batch_window
         self._max_retries = max_retries
-        self._memo_service: Optional[MemoService] = None
-        self._memo_final: Optional[dict] = None
-        memo_address = memo_authkey = None
-        if memo == "service":
-            self._memo_service = MemoService()
-            memo_address = self._memo_service.address
-            memo_authkey = self._memo_service.authkey
-        elif memo == "inline":
-            self.inline_memo = InlineMemoStore()
-        elif memo is not None:
-            raise PlatformError(f"unknown memo mode {memo!r}")
         shard_ids = [f"s{i}" for i in range(shards)]
         self.ring = HashRing(shard_ids)
         self._shards: Dict[str, _Shard] = {
-            sid: _Shard(sid, memo_address, memo_authkey) for sid in shard_ids
+            sid: _Shard(sid) for sid in shard_ids
         }
         self._tenants: Dict[str, _Tenant] = {}
         self._lock = threading.RLock()
@@ -227,15 +205,14 @@ class FederationService:
         else:
             raise PlatformError(f"unknown mutation op {kind!r}")
 
-    def flush(self, candidates: Optional[Dict[str, list]] = None) -> List[dict]:
+    def flush(self) -> List[dict]:
         """Send every pending mutation in one coalesced batch per shard.
 
         Returns one result dict per re-solved tenant (wire rationals
-        parsed back to exact :class:`~fractions.Fraction`).  *candidates*
-        optionally maps tenant → admissible proposal list for cache-aware
-        planning.  All shard requests are in flight concurrently; a dead
-        worker is respawned, its tenants re-onboarded and its batch
-        replayed, up to ``max_retries`` times.
+        parsed back to exact :class:`~fractions.Fraction`).  All shard
+        requests are in flight concurrently; a dead worker is respawned,
+        its tenants re-onboarded and its batch replayed, up to
+        ``max_retries`` times.
         """
         with self._lock:
             per_shard: Dict[str, List[dict]] = {}
@@ -243,10 +220,8 @@ class FederationService:
                 state = self._tenants[tenant]
                 if not state.pending:
                     continue
-                req = {"tenant": tenant, "ops": [list(o) for o in state.pending]}
-                if candidates and tenant in candidates:
-                    req["candidates"] = [str(c) for c in candidates[tenant]]
-                per_shard.setdefault(state.shard, []).append(req)
+                per_shard.setdefault(state.shard, []).append(
+                    {"tenant": tenant, "ops": [list(o) for o in state.pending]})
             if not per_shard:
                 return []
             self.stats_totals["flushes"] += 1
@@ -277,8 +252,6 @@ class FederationService:
                         "tenant": item["tenant"],
                         "throughput": parse_rational(item["throughput"]),
                         "t_max": parse_rational(item["t_max"]),
-                        "proposal": (None if item.get("proposal") is None
-                                     else parse_rational(item["proposal"])),
                         "evals": item["evals"],
                         "shard": shard_id,
                     })
@@ -358,8 +331,7 @@ class FederationService:
             return shard_id
 
     def stats(self) -> dict:
-        """Service + per-shard + memo statistics; refreshes the federation
-        gauges the dash panel reads."""
+        """Service + per-shard statistics."""
         with self._lock:
             shards = {}
             for shard_id in sorted(self._shards):
@@ -369,26 +341,14 @@ class FederationService:
                     shards[shard_id] = reply["stats"]
                 except (ProtocolError, PlatformError):
                     shards[shard_id] = {"shard": shard_id, "dead": True}
-            memo = None
-            if self._memo_service is not None:
-                try:
-                    memo = self._memo_service.stats()
-                except (EOFError, OSError):
-                    memo = self._memo_final
-            elif getattr(self, "inline_memo", None) is not None:
-                memo = self.inline_memo.stats()
-            if memo:
-                self._gauge("federation.memo.hits", memo["hits"])
-                self._gauge("federation.memo.misses", memo["misses"])
-                self._gauge("federation.memo.cross_tenant_hits",
-                            memo["cross_tenant_hits"])
-                self._gauge("federation.memo.entries", memo["entries"])
             return {
                 "service": dict(self.stats_totals,
                                 tenants=len(self._tenants),
                                 shards=len(self._shards)),
                 "shards": shards,
-                "memo": memo,
+                # always None (no cross-tenant store exists); kept only
+                # because the perfbench federation workload reads this key
+                "memo": None,
             }
 
     # ------------------------------------------------------------------
@@ -413,8 +373,8 @@ class FederationService:
         self._serve_thread.start()
 
     def stop(self) -> dict:
-        """Stop serving, shut every worker down, stop the memo service.
-        Returns the final :meth:`stats` snapshot."""
+        """Stop serving and shut every worker down.  Returns the final
+        :meth:`stats` snapshot."""
         self._stop_event.set()
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=5)
@@ -423,10 +383,6 @@ class FederationService:
             final = self.stats()
             for shard in self._shards.values():
                 shard.stop()
-            if self._memo_service is not None:
-                self._memo_final = self._memo_service.stop()
-                final["memo"] = self._memo_final or final["memo"]
-                self._memo_service = None
             return final
 
     def __enter__(self) -> "FederationService":

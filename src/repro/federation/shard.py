@@ -13,8 +13,7 @@ service, one request at a time:
   carrying *all* of that tenant's pending mutations and asking for one
   solve.  Applying the ops back to back re-fingerprints each dirty
   root-path once per op but solves only once, which is the point of the
-  batch window.  An optional ``candidates`` list invokes cache-aware
-  proposal planning (:func:`~repro.protocol.plan_proposal`);
+  batch window;
 * ``result`` — the tenant's full current solution (outcomes +
   transactions), used by exactness verification.  It re-solves, which by
   then is a pure cache replay;
@@ -22,9 +21,9 @@ service, one request at a time:
   hook (die mid-batch after applying ops, before acking — exactly the
   window the service's retry must cover), and orderly exit.
 
-Every solver on the shard shares one :class:`SharedMemoClient`, so a
-subtree solved for any tenant anywhere in the federation answers this
-shard's identical subtrees too.
+Each tenant's solver caches only its own subtrees; shards share no
+state with each other or with the service beyond the frames themselves,
+so a shard's eval count is a pure function of its requests.
 
 Requests are idempotent from the service's point of view because the
 service only advances its authoritative per-tenant state on *ack*: a
@@ -36,13 +35,11 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Optional
+from typing import Dict
 
 from ..core.incremental import IncrementalSolver
 from ..platform.serialization import tree_from_dict, tree_to_dict
-from ..protocol.planner import plan_proposal
 from ..runtime.codec import parse_rational
-from .memo import SharedMemoClient
 from .wire import recv_frame, send_frame
 
 
@@ -67,9 +64,8 @@ def result_payload(result) -> dict:
 class _ShardState:
     """The worker's in-process state: per-tenant solvers + templates."""
 
-    def __init__(self, shard_id: str, shared: Optional[SharedMemoClient]):
+    def __init__(self, shard_id: str):
         self.shard_id = shard_id
-        self.shared = shared
         self.solvers: Dict[str, IncrementalSolver] = {}
         # canonical tree JSON → a pristine (never-mutated) solver to clone
         self.templates: Dict[str, IncrementalSolver] = {}
@@ -85,13 +81,13 @@ class _ShardState:
                            separators=(",", ":"))
         template = self.templates.get(canon)
         if template is not None:
-            solver = template.clone(tenant=tenant)
+            solver = template.clone()
             self.stats["template_clones"] += 1
         else:
-            solver = IncrementalSolver(tree, shared=self.shared, tenant=tenant)
+            solver = IncrementalSolver(tree)
             # the pristine master keeps only fingerprints; cloning it later
             # skips the full fingerprint pass for same-template tenants
-            self.templates[canon] = solver.clone(tenant=None)
+            self.templates[canon] = solver.clone()
         self.solvers[tenant] = solver
         self.stats["onboards"] += 1
         summary = {"tenant": tenant, "nodes": len(list(solver.tree.nodes()))}
@@ -126,20 +122,13 @@ class _ShardState:
             for op in req.get("ops", ()):
                 self._apply_op(solver, op)
                 self.stats["mutations"] += 1
-            proposal = None
-            candidates = req.get("candidates")
-            if candidates:
-                proposal = plan_proposal(
-                    solver, [parse_rational(c) for c in candidates],
-                    shared=self.shared)
-            result = solver.solve(proposal)
+            result = solver.solve()
             self.stats["resolves"] += 1
             self.stats["evals"] += solver.last_evals
             results.append({
                 "tenant": tenant,
                 "throughput": str(result.throughput),
                 "t_max": str(result.t_max),
-                "proposal": None if proposal is None else str(proposal),
                 "evals": solver.last_evals,
             })
         return results
@@ -156,13 +145,10 @@ class _ShardState:
         return info
 
 
-def shard_main(conn, shard_id: str, memo_address: Optional[str],
-               memo_authkey: Optional[bytes]) -> None:
+def shard_main(conn, shard_id: str) -> None:
     """The worker process entry point: serve framed requests until
     ``shutdown`` or the pipe closes."""
-    shared = (SharedMemoClient(memo_address, memo_authkey)
-              if memo_address else None)
-    state = _ShardState(shard_id, shared)
+    state = _ShardState(shard_id)
     while True:
         try:
             request = recv_frame(conn)
@@ -203,5 +189,3 @@ def shard_main(conn, shard_id: str, memo_address: Optional[str],
             send_frame(conn, reply)
         except (BrokenPipeError, OSError):
             break
-    if shared is not None:
-        shared.close()

@@ -7,8 +7,9 @@ negotiation frame — the pipe gives delivery, the frame gives integrity.
 Rationals travel as exact ``"n/d"`` strings throughout
 (:func:`~repro.runtime.codec.parse_rational` on the way back in).
 
-Memo payloads can dwarf control frames (a whole subtree solution per
-entry), so the federation frame bound is its own, larger constant.
+Onboarding requests carry a whole serialised tenant tree, far bigger
+than any negotiation frame, so the federation frame bound is its own,
+larger constant.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Optional
 from ..exceptions import CodecError
 from ..runtime.codec import FRAME_HEADER, encode_blob
 
-#: Upper bound on a federation frame body: recursive solution payloads and
-#: whole-tree onboarding requests are far bigger than negotiation frames.
+#: Upper bound on a federation frame body: whole-tree onboarding requests
+#: and ``result`` replies are far bigger than negotiation frames.
 MAX_FEDERATION_FRAME = 1 << 26
 
 

@@ -10,13 +10,11 @@
 from .actor import NodeActor
 from .messages import Acknowledgment, Proposal, wire_size
 from .network import Network
-from .planner import plan_proposal
 from .retry import RetryPolicy
 from .runner import VIRTUAL_PARENT, ProtocolResult, run_protocol
 
 __all__ = [
     "NodeActor",
-    "plan_proposal",
     "Proposal",
     "Acknowledgment",
     "wire_size",

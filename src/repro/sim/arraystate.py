@@ -489,16 +489,16 @@ class ArraySimulation(Simulation):
                          generation: int = 0) -> None:
         if generation != self._generation:
             return
-        schedule = self._root_schedule()
+        schedule = self.schedules.get(self.tree.root)
+        if schedule is None:
+            return  # zero-throughput platform: the root releases nothing
         # absorb origin's denominator into the scale FIRST (see base)
         self._units(origin)
         t_w, offsets = self._root_grid(schedule)
         start = self._units(origin) + k * t_w
         stopped = False
         engine = self.engine
-        route = None
-        if schedule is self.schedules.get(self.tree.root):
-            route = self._routes[self._root_idx]
+        route = self._routes[self._root_idx]
         for j, dest in enumerate(schedule.order):
             t = start + offsets[j]
             if self._horizon_units is not None and t >= self._horizon_units:

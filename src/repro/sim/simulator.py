@@ -401,12 +401,6 @@ class Simulation:
     # ------------------------------------------------------------------
     # root release driver
     # ------------------------------------------------------------------
-    def _root_schedule(self) -> NodeSchedule:
-        schedule = self.schedules.get(self.tree.root)
-        if schedule is None:
-            raise SimulationError("the root has no schedule — empty allocation?")
-        return schedule
-
     def _release_offsets(self, schedule: NodeSchedule) -> list:
         """Within-period release times of the root's bunch, per pacing mode.
 
@@ -478,7 +472,9 @@ class Simulation:
         """
         if generation != self._generation:
             return
-        schedule = self._root_schedule()
+        schedule = self.schedules.get(self.tree.root)
+        if schedule is None:
+            return  # zero-throughput platform: the root releases nothing
         # absorb origin's denominator into the scale FIRST: then the final
         # conversion below cannot rescale, so the grid locals stay current
         self._units(origin)

@@ -122,15 +122,9 @@ function render(s){
     .sort((a,b)=>(a.labels.shard??"").localeCompare(b.labels.shard??""))
     .map(m=>[m.labels.shard,fmt(m.total),fmt(m.rate)+"/s"]);
   if(shards.length){
-    const gName=n=>G.find(g=>g.name==n)?.value;
-    const mh=gName("federation.memo.hits"),mm=gName("federation.memo.misses"),
-          xt=gName("federation.memo.cross_tenant_hits");
     let fed=table(shards,["shard","re-solves","rate"]);
-    fed+=`memo: hits <b>${fmt(mh)}</b> · misses <b>${fmt(mm)}</b>`+
-      ` · hit ratio <b>${mh+mm?((100*mh/(mh+mm)).toFixed(1)+"%"):"—"}</b><br>`+
-      `cross-tenant hits <b>${fmt(xt)}</b> · entries `+
-      `<b>${fmt(gName("federation.memo.entries"))}</b> · respawns `+
-      `<b>${fmt(sum(C,m=>m.name=="federation.respawns"))}</b>`;
+    fed+=`respawns <b>${fmt(sum(C,m=>m.name=="federation.respawns"))}</b>`+
+      ` · retries <b>${fmt(sum(C,m=>m.name=="federation.retries"))}</b>`;
     $("fed").innerHTML=fed;
   }
   const edges=C.filter(m=>m.name=="runtime.tcp.edge_octets")

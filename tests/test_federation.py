@@ -1,35 +1,30 @@
-"""Tests for the multi-tenant federation layer (PR 10).
+"""Tests for the multi-tenant federation layer.
 
-The load-bearing contract is *exactness through sharing*: two distinct
-tenant trees that contain an identical subtree must produce bit-exact
-BW-First solutions when solved through the shared memo store, with the
-second tenant replaying the first tenant's published solutions
-(``incr.hit.shared`` > 0) instead of recomputing them.  On top of that:
-the consistent-hash ring, the framed wire codec, the memo merge
-discipline, the cache-aware proposal planner, the memo-cap knobs, the
-clone fast path, request batching, and crash recovery of a shard worker
-killed mid-batch.
+The load-bearing contract is *exactness without sharing*: every tenant's
+served solution equals a fresh ``bw_first`` bit for bit, and because
+shards share nothing across processes their eval counts repeat exactly.
+The shared-subtree property pins the reason per-tenant caches suffice: a
+clean subtree answers the same proposal the same way in any tenant.  On
+top of that: the consistent-hash ring, the framed wire codec, the
+memo-cap knobs, the clone fast path, request batching, and crash
+recovery of a shard worker killed mid-batch.
 """
 
 import json
+import multiprocessing
 import random
 from fractions import Fraction
 
 import pytest
 
 from repro.core.bwfirst import bw_first
-from repro.core.incremental import (IncrementalSolver, MEMO_CAP_ENV,
-                                    sol_from_wire, sol_to_wire)
+from repro.core.incremental import IncrementalSolver, MEMO_CAP_ENV
 from repro.exceptions import CodecError, PlatformError, ScheduleError
-from repro.federation import (FederationService, HashRing, InlineMemoStore,
-                              MemoService, matches_reference)
-from repro.federation.memo import MemoState
+from repro.federation import FederationService, HashRing, matches_reference
 from repro.federation.wire import decode_blob
 from repro.platform.generators import random_tree, smooth_tree
 from repro.platform.tree import Tree
-from repro.protocol import plan_proposal
 from repro.runtime.codec import encode_blob
-from repro.telemetry.core import Registry
 
 F = Fraction
 
@@ -43,8 +38,10 @@ F = Fraction
 # the smallest c (highest bandwidth) among the root's children, the β it
 # receives is exactly its own bandwidth 1/c — *independent of the rest of
 # the tree*.  Attaching the same subtree with the same c to two different
-# roots therefore guarantees identical (digest, β) pairs at every node of
-# the shared subtree, which is what makes the cross-tenant hit certain.
+# roots therefore guarantees identical (subtree, β) pairs at every node
+# of the shared subtree, so by §5 Prop. 2 both tenants must settle it the
+# same way — the property that lets each tenant's solver cache stand
+# alone, with nothing shared across tenants.
 
 SHARED_C = F(1, 50)  # bandwidth 50 — far above any tail edge
 
@@ -81,47 +78,18 @@ def assert_exact(solver, tree):
 class TestSharedSubtreeProperty:
     @pytest.mark.parametrize("seed", range(10))
     def test_cross_tenant_replay_is_bit_exact(self, seed):
+        """Tenant A's solution of the shared subtree, replayed in tenant
+        B, would be bit-exact: both solvers settle it identically."""
         tree_a, tree_b = _shared_pair(seed)
-        store = InlineMemoStore()
-        registry = Registry()
-        solver_a = IncrementalSolver(tree_a, shared=store, tenant="a",
-                                     shared_min_size=1)
+        solver_a, solver_b = IncrementalSolver(tree_a), IncrementalSolver(tree_b)
         assert_exact(solver_a, tree_a)
-        solver_b = IncrementalSolver(tree_b, telemetry=registry, shared=store,
-                                     tenant="b", shared_min_size=1)
         assert_exact(solver_b, tree_b)
-        assert solver_b.stats["hits_shared"] > 0
-        assert registry.value("incr.hit.shared") > 0
-        assert store.stats()["cross_tenant_hits"] > 0
-
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_replay_through_real_memo_service(self, seed):
-        tree_a, tree_b = _shared_pair(seed)
-        service = MemoService()
-        try:
-            solver_a = IncrementalSolver(tree_a, shared=service.client(),
-                                         tenant="a", shared_min_size=1)
-            assert_exact(solver_a, tree_a)
-            solver_b = IncrementalSolver(tree_b, shared=service.client(),
-                                         tenant="b", shared_min_size=1)
-            assert_exact(solver_b, tree_b)
-            assert solver_b.stats["hits_shared"] > 0
-            assert service.stats()["cross_tenant_hits"] > 0
-        finally:
-            service.stop()
-
-    def test_size_window_gates_fetch_and_publish(self):
-        tree_a, tree_b = _shared_pair(42)
-        store = InlineMemoStore()
-        solver_a = IncrementalSolver(tree_a, shared=store, tenant="a",
-                                     shared_min_size=len(tree_a) + 1)
-        solver_a.solve()
-        assert solver_a.stats["shared_publishes"] == 0
-        solver_b = IncrementalSolver(tree_b, shared=store, tenant="b",
-                                     shared_min_size=len(tree_b) + 1)
-        solver_b.solve()
-        assert solver_b.stats["shared_fetches"] == 0
-        assert store.stats()["fetches"] == 0
+        settled = [
+            {n: o for n, o in solver.solve().outcomes.items()
+             if str(n).startswith("s")}
+            for solver in (solver_a, solver_b)
+        ]
+        assert settled[0] and settled[0] == settled[1]
 
 
 # ----------------------------------------------------------------------
@@ -177,114 +145,6 @@ class TestWire:
         blob = encode_blob(b"x" * 100)
         with pytest.raises(CodecError):
             decode_blob(blob, max_frame=16)
-
-
-# ----------------------------------------------------------------------
-# memo state: merge discipline, eviction, accounting
-# ----------------------------------------------------------------------
-class TestMemoState:
-    def test_lower_saturation_threshold_wins(self):
-        state = MemoState()
-        state.publish("d1", {"sat": ["9", "3", "6", "0", [], 1], "thr": "7"})
-        state.publish("d1", {"sat": ["5", "3", "2", "0", [], 1], "thr": "5"})
-        state.publish("d1", {"sat": ["8", "3", "5", "0", [], 1], "thr": "6"})
-        assert state.betas("d1")["saturated_above"] == "5"
-
-    def test_exact_cap_never_displaces(self):
-        state = MemoState(exact_cap=2)
-        sol = ["1", "1", "0", "0", [], 1]
-        state.publish("d1", {"exact": {"1": sol, "2": sol}})
-        state.publish("d1", {"exact": {"3": sol}})
-        assert state.betas("d1")["exact"] == ["1", "2"]
-
-    def test_fifo_eviction_bounds_entries(self):
-        state = MemoState(max_entries=3)
-        for i in range(5):
-            state.publish(f"d{i}", {"exact": {"1": ["1", "1", "0", "0", [], 1]}})
-        assert len(state.entries) == 3
-        assert state.stats["evictions"] == 2
-        assert "d0" not in state.entries and "d4" in state.entries
-
-    def test_cross_tenant_accounting(self):
-        state = MemoState()
-        state.publish("d1", {"exact": {"1": ["1", "1", "0", "0", [], 1]}},
-                      tenant="a")
-        state.fetch("d1", tenant="a")
-        assert state.stats["cross_tenant_hits"] == 0
-        state.fetch("d1", tenant="b")
-        assert state.stats["cross_tenant_hits"] == 1
-
-    def test_sol_wire_round_trip(self):
-        tree = random_tree(10, seed=7)
-        solver = IncrementalSolver(tree)
-        res = solver.solve()
-        out = res.outcomes[tree.root]
-        # any node's _Sol survives the wire form bit for bit
-        wire = sol_to_wire(sol_from_wire(sol_to_wire(sol_from_wire(
-            [str(out.lam), str(out.alpha), str(out.theta), str(out.tau),
-             [], 1]))))
-        assert wire[0] == str(out.lam) and wire[2] == str(out.theta)
-
-
-# ----------------------------------------------------------------------
-# cache-aware proposal planning
-# ----------------------------------------------------------------------
-class TestPlanner:
-    def _warm_solver(self):
-        tree = smooth_tree(40, seed=3)
-        solver = IncrementalSolver(tree)
-        solver.solve()
-        # the default solve memoises the *saturated* regime at the root;
-        # warm one exact memo strictly between the rate and the threshold
-        thr = solver.memoised_betas(tree.root)["saturated_above"]
-        assert thr is not None
-        beta = (tree.rate(tree.root) + thr) / 2
-        assert tree.rate(tree.root) < beta < thr
-        solver.solve(proposal=beta)
-        return tree, solver
-
-    def test_prefers_exact_memo(self):
-        tree, solver = self._warm_solver()
-        info = solver.memoised_betas(tree.root)
-        memoised = info["exact"][0]
-        choice = plan_proposal(solver, [memoised + 1000, memoised])
-        assert choice == memoised
-        res = solver.solve(proposal=choice)
-        ref = bw_first(tree, proposal=choice)
-        assert res.outcomes == ref.outcomes
-
-    def test_prefers_saturated_coverage(self):
-        tree, solver = self._warm_solver()
-        thr = solver.memoised_betas(tree.root)["saturated_above"]
-        assert thr is not None
-        lo, hi = thr - F(1, 7), thr + F(1, 7)
-        assert plan_proposal(solver, [lo, hi]) == hi
-
-    def test_consults_shared_store(self):
-        tree_a, tree_b = _shared_pair(5)
-        store = InlineMemoStore()
-        solver_a = IncrementalSolver(tree_a, shared=store, tenant="a",
-                                     shared_min_size=1)
-        solver_a.solve()
-        solver_b = IncrementalSolver(tree_b, shared=store, tenant="b",
-                                     shared_min_size=1)
-        remote = store.betas(solver_b.digest(tree_b.root))
-        if remote["exact"]:
-            beta = F(remote["exact"][0])
-            assert plan_proposal(solver_b, [beta, beta + 999],
-                                 shared=store) == beta
-
-    def test_default_and_smallest_fallbacks(self):
-        _, solver = self._warm_solver()
-        fresh = IncrementalSolver(solver.tree.copy())
-        assert plan_proposal(fresh, [F(7), F(9)], default=F(9)) == F(9)
-        assert plan_proposal(fresh, [F(7), F(9)], default=F(11)) == F(7)
-        assert plan_proposal(fresh, [F(7), F(9)]) == F(7)
-
-    def test_empty_candidates_rejected(self):
-        _, solver = self._warm_solver()
-        with pytest.raises(ScheduleError):
-            plan_proposal(solver, [])
 
 
 # ----------------------------------------------------------------------
@@ -356,9 +216,23 @@ class TestFederationService:
         base = [smooth_tree(nodes, seed=seed + k) for k in range(templates)]
         return {f"t{i}": base[i % templates].copy() for i in range(n)}
 
+    def _churn(self, service, trees):
+        """Onboard *trees*, then three seeded rounds of one leaf-weight
+        mutation per tenant and a flush; *trees* track the mutations."""
+        for tenant in sorted(trees):
+            service.onboard(tenant, trees[tenant])
+        rng = random.Random(11)
+        for _ in range(3):
+            for tenant in sorted(trees):
+                leaf = rng.choice(trees[tenant].leaves())
+                w = rng.choice((2048, 3072, 4096))
+                service.mutate(tenant, ["set_w", leaf, str(w)])
+                trees[tenant].set_w(leaf, w)
+            service.flush()
+
     def test_batch_coalesces_mutations_into_one_resolve(self):
         trees = self._trees(1)
-        with FederationService(shards=1, memo="inline") as service:
+        with FederationService(shards=1) as service:
             service.onboard("t0", trees["t0"])
             before = service.stats()["service"]["resolves"]
             leaves = trees["t0"].leaves()
@@ -375,25 +249,15 @@ class TestFederationService:
 
     def test_multi_tenant_exactness_under_churn(self):
         trees = self._trees(4)
-        with FederationService(shards=2, memo="service") as service:
-            for tenant in sorted(trees):
-                service.onboard(tenant, trees[tenant])
-            rng = random.Random(11)
-            for _ in range(3):
-                for tenant in sorted(trees):
-                    leaf = rng.choice(trees[tenant].leaves())
-                    w = rng.choice((2048, 3072, 4096))
-                    service.mutate(tenant, ["set_w", leaf, str(w)])
-                    trees[tenant].set_w(leaf, w)
-                service.flush()
+        with FederationService(shards=2) as service:
+            self._churn(service, trees)
             for tenant in sorted(trees):
                 assert matches_reference(service.result(tenant),
                                          bw_first(trees[tenant]))
-            assert service.stats()["memo"]["cross_tenant_hits"] > 0
 
     def test_shard_crash_mid_batch_is_retried_exactly(self):
         trees = self._trees(4)
-        with FederationService(shards=2, memo="service") as service:
+        with FederationService(shards=2) as service:
             for tenant in sorted(trees):
                 service.onboard(tenant, trees[tenant])
             killed = service.chaos_kill("t0", batches=1)
@@ -412,15 +276,41 @@ class TestFederationService:
 
     def test_duplicate_tenant_rejected(self):
         trees = self._trees(1)
-        with FederationService(shards=1, memo="inline") as service:
+        with FederationService(shards=1) as service:
             service.onboard("t0", trees["t0"])
             with pytest.raises(PlatformError):
                 service.onboard("t0", trees["t0"])
 
     def test_template_onboarding_uses_clone_fast_path(self):
         trees = self._trees(4, templates=1)
-        with FederationService(shards=1, memo="inline") as service:
+        with FederationService(shards=1) as service:
             for tenant in sorted(trees):
                 service.onboard(tenant, trees[tenant])
             shard_stats = service.stats()["shards"]["s0"]
             assert shard_stats["template_clones"] == 3
+
+
+    def test_only_shard_processes_are_spawned(self):
+        before = set(multiprocessing.active_children())
+        trees = self._trees(4)
+        with FederationService(shards=2) as service:
+            for tenant in sorted(trees):
+                service.onboard(tenant, trees[tenant])
+            spawned = set(multiprocessing.active_children()) - before
+            assert len(spawned) == 2
+            assert all(p.name.startswith("repro-shard-") for p in spawned)
+
+    def test_identical_churn_runs_repeat_per_shard_evals(self):
+        runs = []
+        for _ in range(2):
+            with FederationService(shards=2) as service:
+                self._churn(service, self._trees(4))
+                shards = service.stats()["shards"]
+            runs.append({sid: shards[sid]["evals"] for sid in shards})
+        assert sorted(runs[0]) == ["s0", "s1"] and all(runs[0].values())
+        assert runs[1] == runs[0]
+
+    def test_stats_report_no_memo(self):
+        with FederationService(shards=1) as service:
+            service.onboard("t0", smooth_tree(20, seed=3))
+            assert service.stats()["memo"] is None

@@ -9,7 +9,8 @@ from repro.core.allocation import from_bw_first
 from repro.core.bwfirst import bw_first
 from repro.exceptions import SimulationError
 from repro.platform.generators import chain, fork
-from repro.platform.tree import Tree
+from repro.platform.tree import INFINITY, Tree
+from repro.schedule.eventdriven import build_schedules
 from repro.schedule.periods import global_period, tree_periods
 from repro.sim import simulate
 from repro.sim.simulator import Simulation
@@ -103,11 +104,40 @@ class TestValidation:
         with pytest.raises(SimulationError):
             simulate(paper_tree)
 
-    def test_empty_allocation_rejected(self):
-        # a platform that can compute nothing has no root schedule
-        t = Tree("sw")  # lone switch
-        with pytest.raises(SimulationError):
-            simulate(t, horizon=10)
+    def test_empty_allocation_gives_empty_run(self):
+        # a platform that can compute nothing has no root schedule: the
+        # run releases nothing instead of failing
+        result = simulate(Tree("sw"), horizon=10)  # lone switch
+        assert result.released == 0 and result.completed == 0
+
+
+class TestZeroThroughput:
+    """An all-switch platform has a valid optimum of 0 and no schedules;
+    simulating it yields an empty run up to the horizon under every
+    kernel."""
+
+    @staticmethod
+    def switches() -> Tree:
+        tree = Tree("A")  # w = inf
+        tree.add_node("B", INFINITY, parent="A", c=1)
+        return tree
+
+    @pytest.mark.parametrize("kernel", ["array", "int", "fraction"])
+    def test_empty_run_to_horizon(self, kernel):
+        tree = self.switches()
+        assert bw_first(tree).throughput == 0
+        assert build_schedules(from_bw_first(bw_first(tree))) == {}
+        result = simulate(tree, horizon=10, kernel=kernel)
+        assert result.released == 0 and result.completed == 0
+        assert result.stop_time == 10
+        assert result.wind_down is None
+        assert result.trace.completions == []
+        assert result.trace.segments == []
+
+    @pytest.mark.parametrize("kernel", ["array", "int", "fraction"])
+    def test_supply_is_never_released(self, kernel):
+        result = simulate(self.switches(), supply=5, kernel=kernel)
+        assert result.released == 0 and result.completed == 0
 
 
 class TestBufferedStartBaseline:
